@@ -27,6 +27,7 @@ schedule is provably a bit-identical no-op.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -96,6 +97,8 @@ class FaultPlane:
                 )
             else:  # pragma: no cover - schedule validates event types
                 raise TypeError(f"unknown fault event type {type(event).__name__}")
+        self._starts = sorted(e.start_s for e in self.events)
+        self._ends = sorted(e.end_s for e in self.events)
         _EVENTS_ACTIVE.set(len(self.events))
 
     @property
@@ -112,11 +115,21 @@ class FaultPlane:
     def active_events(self, t_s: float) -> tuple[FaultEvent, ...]:
         """Events whose ``[start_s, end_s)`` window covers ``t_s``.
 
-        Schedule order is preserved; the streaming front end reports
-        ``len(active_events(t))`` as its fault-pressure gauge while the
-        time cursor advances.
+        Schedule order is preserved; :meth:`n_active` counts the same
+        set without scanning the schedule.
         """
         return tuple(e for e in self.events if e.active(t_s))
+
+    def n_active(self, t_s: float) -> int:
+        """``len(active_events(t_s))`` by bisection — the streaming front
+        end's per-request fault-pressure gauge.
+
+        Every window has ``start_s <= end_s``, so the events ended by
+        ``t_s`` are a subset of those started by it, and the difference
+        of the two counts is exactly the half-open ``[start_s, end_s)``
+        rule.
+        """
+        return bisect_right(self._starts, t_s) - bisect_right(self._ends, t_s)
 
     # --- scalar queries (direct serving path) -----------------------------------
 

@@ -155,7 +155,7 @@ class QuantumChannel:
             return platform.nominal_altitude_km  # type: ignore[attr-defined]
         return platform.alt_km
 
-    def _operational(self, t_s: float) -> bool:
+    def operational(self, t_s: float) -> bool:
         """Whether both endpoints can currently form links (HAP duty cycle)."""
         for host in (self.host_a, self.host_b):
             if isinstance(host, HAP) and not host.is_operational(t_s):
@@ -169,7 +169,7 @@ class QuantumChannel:
             t_s: simulation time [s].
             policy: admission policy; defaults to the paper's thresholds.
         """
-        if not self._operational(t_s):
+        if not self.operational(t_s):
             distance, elevation = self._geometry(t_s)
             return LinkState(0.0, distance, elevation, False)
         return self.evaluate_physics(t_s, policy)

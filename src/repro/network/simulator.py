@@ -18,8 +18,9 @@ from repro import obs
 from repro.engine.linkstate import LinkStateCache
 from repro.errors import NoPathError, UnknownHostError
 from repro.network.events import EventTimeline
-from repro.network.links import LinkPolicy
+from repro.network.links import LinkPolicy, LinkState, QuantumChannel
 from repro.network.protocols import EntangledPair, distribute_entanglement
+from repro.network.satellite import Satellite
 from repro.network.topology import LinkGraph, QuantumNetwork
 from repro.obs import trace
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
@@ -161,6 +162,9 @@ class NetworkSimulator:
         self._linkstate: LinkStateCache | None = None
         self._relaxed_graph_cache: tuple[float, LinkGraph] | None = None
         self._relaxed_linkstate: LinkStateCache | None = None
+        #: channel -> (satellite sample indices, physics) of the cached
+        #: cause cascade; see :meth:`_cascade_state`.
+        self._physics_memo: dict[QuantumChannel, tuple[tuple[int, ...], LinkState]] = {}
 
     # --- link-state access ------------------------------------------------------
 
@@ -190,6 +194,7 @@ class NetworkSimulator:
         self._linkstate = None
         self._relaxed_graph_cache = None
         self._relaxed_linkstate = None
+        self._physics_memo = {}
 
     def _routing_tree(self, graph: LinkGraph, source: str, t_s: float) -> BellmanFordResult:
         """Bellman–Ford tree at ``t_s`` — memoized when the cache is on."""
@@ -265,6 +270,44 @@ class NetworkSimulator:
         """LAN name of a host, or None for platforms."""
         return getattr(self.network.host(name), "network", "") or None
 
+    def _cascade_state(
+        self, channel: QuantumChannel, t_s: float, samples: dict[int, int]
+    ) -> LinkState:
+        """``channel.evaluate(t_s, policy)``; on the cached path the
+        physics is memoised per movement-sheet sample.
+
+        Ground sites and HAPs hold still and satellites are
+        sample-and-hold, so a channel's physics changes only with its
+        satellites' sample indices (``samples`` resolves each ephemeris
+        once per cascade); each channel keeps the physics of the last
+        sample it was evaluated at. The HAP duty cycle is still applied
+        at the exact ``t_s``, so the state is bit-identical to the scalar
+        evaluation. A channel with any other mobile endpoint is
+        evaluated directly, as is every channel on the direct path (the
+        oracle the memo is tested against).
+        """
+        if not self.use_cache:
+            return channel.evaluate(t_s, self.policy)
+        key: list[int] = []
+        for host in (channel.host_a, channel.host_b):
+            if isinstance(host, Satellite):
+                eph = host.ephemeris
+                k = samples.get(id(eph))
+                if k is None:
+                    k = samples[id(eph)] = eph.sample_index(t_s)
+                key.append(k)
+            elif host.is_mobile:
+                return channel.evaluate(t_s, self.policy)
+        sample = tuple(key)
+        memo = self._physics_memo.get(channel)
+        if memo is None or memo[0] != sample:
+            memo = (sample, channel.evaluate_physics(t_s, self.policy))
+            self._physics_memo[channel] = memo
+        physics = memo[1]
+        if not channel.operational(t_s):
+            return LinkState(0.0, physics.distance_km, physics.elevation_rad, False)
+        return physics
+
     def _attribute_denial(
         self, source: str, destination: str, t_s: float, max_candidates: int
     ) -> tuple[trace.DenialCause, list[dict], dict[str, int]]:
@@ -272,12 +315,12 @@ class NetworkSimulator:
 
         Evaluates every platform's channels to both endpoints under the
         simulator's policy and folds the per-gate outcomes into exactly
-        one canonical :class:`~repro.obs.trace.DenialCause` — only run
-        for requests that are both denied and trace-sampled, so its cost
-        never touches the untraced hot path.
+        one canonical :class:`~repro.obs.trace.DenialCause`; channel
+        states come from :meth:`_cascade_state`.
         """
         min_el = self.policy.min_elevation_rad
         faults = self.faults
+        samples: dict[int, int] = {}
         candidates: list[dict] = []
         n_platforms = n_visible = n_elev = n_usable = n_healthy = 0
         for platform in self.network.hosts():
@@ -288,8 +331,8 @@ class NetworkSimulator:
             if ch_s is None or ch_d is None:
                 continue
             n_platforms += 1
-            st_s = ch_s.evaluate(t_s, self.policy)
-            st_d = ch_d.evaluate(t_s, self.policy)
+            st_s = self._cascade_state(ch_s, t_s, samples)
+            st_d = self._cascade_state(ch_d, t_s, samples)
             visible = (
                 math.isfinite(st_s.elevation_rad)
                 and st_s.elevation_rad > 0.0

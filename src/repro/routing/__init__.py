@@ -4,7 +4,7 @@ The paper routes with Bellman–Ford over the cost metric ``1/(eta + eps)``
 (Section III-B, Algorithm 1). This package provides that algorithm —
 both a literal routing-table implementation of Algorithm 1 and a fast
 relaxation form — plus a Dijkstra solver on the same metric (the
-routing-ablation baseline and Yen's spur-path inner solver), Yen's
+routing-ablation baseline), Yen's
 k-shortest simple paths (:mod:`repro.routing.yen`), bounded
 entanglement-memory accounting (:mod:`repro.routing.memory`), and the
 pluggable multipath strategy layer (:mod:`repro.routing.strategies`)

@@ -212,11 +212,10 @@ class PathTable:
     """Installed candidate-path sets, keyed by ``(src, dst)`` per epoch.
 
     An epoch identifies one link-state snapshot (the cache's weighted
-    feasible-edge key, or the timestamp on the direct path). Lookups
-    within an epoch reuse the installed enumeration; advancing the
-    epoch uninstalls every entry and returns the pairs that were
-    active, so the strategy can proactively re-install them against the
-    new snapshot before traffic arrives.
+    feasible-edge key, or the timestamp on the direct path). A pair is
+    installed lazily, on its first lookup within an epoch, and reused by
+    every later lookup in that epoch; advancing the epoch uninstalls
+    every entry, so the table only ever holds current-epoch pairs.
     """
 
     def __init__(self) -> None:
@@ -231,15 +230,13 @@ class PathTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def advance(self, epoch: Hashable) -> list[tuple[str, str]]:
-        """Enter ``epoch``; uninstall stale entries, return their pairs."""
+    def advance(self, epoch: Hashable) -> None:
+        """Enter ``epoch``, uninstalling every entry of the previous one."""
         if epoch == self._epoch:
-            return []
-        stale = list(self._entries)
-        _UNINSTALLED.inc(len(stale))
+            return
+        _UNINSTALLED.inc(len(self._entries))
         self._entries.clear()
         self._epoch = epoch
-        return stale
 
     def lookup(self, pair: tuple[str, str]) -> tuple[CandidatePath, ...] | None:
         """Installed candidates for ``pair`` in the current epoch."""
@@ -330,16 +327,14 @@ class KShortestStrategy:
         epoch: Hashable,
         enumerate_pair: Callable[[tuple[str, str]], tuple[CandidatePath, ...]],
     ) -> tuple[CandidatePath, ...]:
-        """Path-table front end: lookup, else install (proactively
-        re-installing the previous epoch's active pairs first)."""
-        for stale in self.table.advance(epoch):
-            self.table.install(stale, enumerate_pair(stale))
+        """Path-table front end: the pair's enumeration under ``epoch``,
+        installed on its first lookup in the epoch."""
+        self.table.advance(epoch)
         cached = self.table.lookup(pair)
-        if cached is not None:
-            return cached
-        fresh = enumerate_pair(pair)
-        self.table.install(pair, fresh)
-        return fresh
+        if cached is None:
+            cached = enumerate_pair(pair)
+            self.table.install(pair, cached)
+        return cached
 
     def graph_candidates(
         self,

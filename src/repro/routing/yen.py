@@ -8,11 +8,11 @@ exactly that: the best path comes from a single-source run, and every
 further path is the cheapest "spur" deviation off an already-accepted
 path with the deviating edges masked out.
 
-The spur-path inner solver is :func:`repro.routing.dijkstra.dijkstra`
-— all edge costs on this metric are positive, so Dijkstra is exact here
-and this wires the previously stand-alone baseline into the serving
-path (the shared-metric equivalence with Bellman–Ford is pinned in
-``tests/routing/``).
+The spur solver is a masked Dijkstra that stops when the destination is
+popped. Its ``(cost, node)`` heap keys match
+:func:`repro.routing.dijkstra.dijkstra` and a popped node's predecessor
+chain is final, so each spur equals a full single-source run over the
+masked graph (pinned against one in ``tests/routing/``).
 
 Determinism: candidate spurs are ordered by ``(cost, path)`` — node
 names break float ties — so the enumeration order is a pure function of
@@ -22,53 +22,55 @@ the graph, independent of dict iteration or hash randomisation.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Mapping
+import math
+from typing import Iterator
 
-from repro.errors import NoPathError, RoutingError
+from repro.errors import RoutingError
 from repro.network.topology import LinkGraph
-from repro.routing.dijkstra import dijkstra_path
-from repro.routing.metrics import DEFAULT_EPSILON, path_cost, path_edges
+from repro.routing.metrics import DEFAULT_EPSILON, edge_cost, path_cost, path_edges
 
 __all__ = ["k_shortest_paths", "yen_paths"]
 
 
-class _MaskedGraph(Mapping):
-    """Read-only view of a link graph with nodes and directed edges removed.
-
-    Implements just enough of the mapping protocol for the Dijkstra /
-    Bellman–Ford solvers (`in`, iteration, ``graph[u].items()``) without
-    copying the underlying adjacency.
-    """
-
-    def __init__(
-        self,
-        graph: LinkGraph,
-        banned_nodes: frozenset[str],
-        banned_edges: frozenset[tuple[str, str]],
-    ) -> None:
-        self._graph = graph
-        self._banned_nodes = banned_nodes
-        self._banned_edges = banned_edges
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._graph and node not in self._banned_nodes
-
-    def __iter__(self):
-        for node in self._graph:
-            if node not in self._banned_nodes:
-                yield node
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __getitem__(self, node: str) -> dict[str, float]:
-        if node in self._banned_nodes:
-            raise KeyError(node)
-        return {
-            v: eta
-            for v, eta in self._graph[node].items()
-            if v not in self._banned_nodes and (node, v) not in self._banned_edges
-        }
+def _spur_path(
+    graph: LinkGraph,
+    costs: dict[str, list[tuple[str, float]]],
+    source: str,
+    destination: str,
+    banned_nodes: set[str],
+    banned_edges: set[tuple[str, str]],
+    epsilon: float,
+) -> list[str] | None:
+    """Cheapest path avoiding the banned nodes and directed edges, or
+    ``None``; ``costs`` memoises expanded nodes' edge costs in order."""
+    dist = {source: 0.0}
+    pred: dict[str, str] = {}
+    heap: list[tuple[float, str]] = [(0.0, source)]
+    visited: set[str] = set()
+    while heap:
+        cost_u, u = heapq.heappop(heap)
+        if u in visited:
+            continue
+        if u == destination:
+            path = [u]
+            while u != source:
+                u = pred[u]
+                path.append(u)
+            path.reverse()
+            return path
+        visited.add(u)
+        edges = costs.get(u)
+        if edges is None:
+            edges = costs[u] = [(v, edge_cost(eta, epsilon)) for v, eta in graph[u].items()]
+        for v, cost in edges:
+            if v in visited or v in banned_nodes or (u, v) in banned_edges:
+                continue
+            candidate = cost_u + cost
+            if candidate < dist.get(v, math.inf):
+                dist[v] = candidate
+                pred[v] = u
+                heapq.heappush(heap, (candidate, v))
+    return None
 
 
 def yen_paths(
@@ -90,9 +92,9 @@ def yen_paths(
         raise RoutingError(f"source {source!r} is not in the graph")
     if destination not in graph:
         raise RoutingError(f"destination {destination!r} is not in the graph")
-    try:
-        first, _ = dijkstra_path(graph, source, destination, epsilon)
-    except NoPathError:
+    costs: dict[str, list[tuple[str, float]]] = {}
+    first = _spur_path(graph, costs, source, destination, set(), set(), epsilon)
+    if first is None:
         return
     accepted: list[list[str]] = [first]
     seen: set[tuple[str, ...]] = {tuple(first)}
@@ -110,11 +112,11 @@ def yen_paths(
                 for p in accepted
                 if len(p) > i + 1 and p[: i + 1] == root
             }
-            banned_nodes = frozenset(root[:-1])
-            masked = _MaskedGraph(graph, banned_nodes, frozenset(banned_edges))
-            try:
-                spur, _ = dijkstra_path(masked, spur_node, destination, epsilon)
-            except NoPathError:
+            spur = _spur_path(
+                graph, costs, spur_node, destination,
+                set(root[:-1]), banned_edges, epsilon,
+            )
+            if spur is None:
                 continue
             candidate = tuple(root[:-1] + spur)
             if candidate in seen:

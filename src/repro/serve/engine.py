@@ -233,9 +233,12 @@ class SimulatorServeEngine(ServeEngine):
         simulator: the bound simulator; its ``use_cache`` flag decides
             which serving path (and this engine's ``name``).
         attribute_denials: compute the canonical denial cause for every
-            unserved request (the flight-recorder cascade re-evaluates
-            each candidate uplink, ~2 scalar channel evaluations per
-            platform — exact but far off the hot path). Disable for
+            unserved request through the flight-recorder cascade over
+            each candidate uplink. The ``cached`` backend reads channel
+            physics from a per-sample memo, so a denial costs a fault
+            and duty-cycle check per channel plus one physics
+            evaluation per channel and new sample; ``direct`` evaluates
+            ~2 scalar channels per platform on every denial. Disable for
             throughput runs; denied outcomes then carry ``cause=None``.
     """
 

@@ -173,7 +173,7 @@ class ServeServer:
         config: admission-control knobs.
         faults: optional compiled
             :class:`~repro.faults.plane.FaultPlane`; consumers report
-            ``len(active_events(t))`` on the fault-pressure gauge as the
+            ``n_active(t)`` on the fault-pressure gauge as the
             cursor advances (the engine already *applies* the plane —
             this is observability only).
 
@@ -315,7 +315,7 @@ class ServeServer:
                 _LIVE_CURSOR.set(request.t_s)
             self.n_cursor_advances += 1
             if self.faults is not None:
-                n_active = len(self.faults.active_events(request.t_s))
+                n_active = self.faults.n_active(request.t_s)
                 _FAULTS_ACTIVE.set(n_active)
                 _LIVE_FAULTS.set(n_active)
             if handle is not None:
@@ -465,7 +465,7 @@ class ServeServer:
             "denial_causes": dict(self.cause_counts),
             "denial_rates_per_s": denial_rates,
             "faults_active": (
-                len(self.faults.active_events(self.time_cursor_s))
+                self.faults.n_active(self.time_cursor_s)
                 if self.faults is not None and self.time_cursor_s is not None
                 else 0
             ),

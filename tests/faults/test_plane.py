@@ -1,6 +1,8 @@
 """Tests for the compiled FaultPlane: scalar vs vectorized query agreement."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     FaultPlane,
@@ -111,6 +113,39 @@ class TestVectorizedQueries:
 
     def test_link_ok_matrix_scalar_when_untouched(self):
         assert plane().link_ok_matrix("ttu-0", ["sat-001"], TIMES) is True
+
+
+@st.composite
+def windows(draw):
+    """Integer-edged windows (zero-length ones included), so probes can
+    land exactly on starts and ends."""
+    out = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        start = draw(st.integers(min_value=0, max_value=40))
+        out.append((float(start), float(start + draw(st.integers(0, 15)))))
+    return out
+
+
+class TestActiveCount:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spans=windows(),
+        probes=st.lists(st.floats(min_value=-5.0, max_value=60.0), max_size=10),
+    )
+    def test_n_active_matches_active_events(self, spans, probes):
+        p = FaultPlane(
+            [SatelliteOutage(a, b, satellite=f"sat-{i:03d}") for i, (a, b) in enumerate(spans)]
+        )
+        edges = [t for span in spans for t in span]
+        for t in edges + [np.nextafter(t, -np.inf) for t in edges] + probes:
+            assert p.n_active(t) == len(p.active_events(t)), t
+
+    def test_half_open_edges(self):
+        p = plane()
+        assert p.n_active(60.0) == 3  # sat-000 outage starts, fades and flap live
+        assert p.n_active(90.0) == 3  # flap ends as the ttu-0 downtime starts
+        assert p.n_active(600.0) == 0
+        assert FaultPlane().n_active(0.0) == 0
 
 
 class TestNoopPlane:

@@ -14,20 +14,25 @@ Three components are pinned against independent oracles:
   pairs — the closed form the serving hot path uses is the physics,
   not an approximation of it.
 
-The Yen inner solver is Dijkstra; the shared-metric leg checks its
-first-ranked path realises exactly the Bellman–Ford optimum the strict
-router would have picked.
+The Yen spur solver is a masked, early-exit Dijkstra. It is pinned
+against a reference Yen whose spurs come from a full single-source
+:func:`~repro.routing.dijkstra.dijkstra_path` over a masked graph view —
+same ``(path, cost)`` sequence, ties included — and the shared-metric
+leg checks its first-ranked path realises exactly the Bellman–Ford
+optimum the strict router would have picked.
 """
 
+import heapq
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RoutingError
+from repro.errors import NoPathError, RoutingError
 from repro.network.protocols import (
     dejmps_purification,
     distribute_entanglement,
@@ -35,8 +40,9 @@ from repro.network.protocols import (
     werner_twirl,
 )
 from repro.routing.bellman_ford import bellman_ford
+from repro.routing.dijkstra import dijkstra_path
 from repro.routing.memory import MemoryPool
-from repro.routing.metrics import edge_cost, path_edges
+from repro.routing.metrics import edge_cost, path_cost, path_edges
 from repro.routing.strategies import distill_step, projection_fidelity
 from repro.routing.yen import k_shortest_paths, yen_paths
 
@@ -114,6 +120,93 @@ def test_yen_first_path_is_the_bellman_ford_optimum(graph):
     assert first is not None
     path, cost = first
     assert cost == pytest.approx(bf.costs["n1"], rel=1e-9, abs=1e-12)
+
+
+class MaskedGraph(Mapping):
+    """Read-only view of a link graph without some nodes and directed
+    edges — the reference spur solver's input."""
+
+    def __init__(self, graph, banned_nodes, banned_edges):
+        self._graph = graph
+        self._banned_nodes = banned_nodes
+        self._banned_edges = banned_edges
+
+    def __contains__(self, node):
+        return node in self._graph and node not in self._banned_nodes
+
+    def __iter__(self):
+        return (n for n in self._graph if n not in self._banned_nodes)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __getitem__(self, node):
+        if node in self._banned_nodes:
+            raise KeyError(node)
+        return {
+            v: eta
+            for v, eta in self._graph[node].items()
+            if v not in self._banned_nodes and (node, v) not in self._banned_edges
+        }
+
+
+def reference_yen(graph, source, destination):
+    """Yen with full single-source Dijkstra spurs over masked views."""
+    try:
+        first, _ = dijkstra_path(graph, source, destination)
+    except NoPathError:
+        return
+    accepted, seen, frontier = [first], {tuple(first)}, []
+    yield first, path_cost(path_edges(graph, first))
+    while True:
+        prev = accepted[-1]
+        for i in range(len(prev) - 1):
+            root = prev[: i + 1]
+            banned_edges = {
+                (p[i], p[i + 1]) for p in accepted if len(p) > i + 1 and p[: i + 1] == root
+            }
+            masked = MaskedGraph(graph, frozenset(root[:-1]), frozenset(banned_edges))
+            try:
+                spur, _ = dijkstra_path(masked, prev[i], destination)
+            except NoPathError:
+                continue
+            candidate = tuple(root[:-1] + spur)
+            if candidate not in seen:
+                seen.add(candidate)
+                heapq.heappush(frontier, (path_cost(path_edges(graph, candidate)), candidate))
+        if not frontier:
+            return
+        cost, best = heapq.heappop(frontier)
+        accepted.append(list(best))
+        yield list(best), cost
+
+
+@st.composite
+def tied_graphs(draw):
+    """Random graphs on 2..7 nodes whose etas come from three values, so
+    many distinct paths tie exactly on cost."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    nodes = [f"n{i}" for i in range(n)]
+    graph = {node: {} for node in nodes}
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            if draw(st.booleans()):
+                eta = draw(st.sampled_from([0.25, 0.5, 1.0]))
+                graph[a][b] = eta
+                graph[b][a] = eta
+    # Shuffle adjacency order so ties are not broken by insertion order.
+    for node in nodes:
+        items = list(graph[node].items())
+        order = draw(st.permutations(range(len(items))))
+        graph[node] = {items[j][0]: items[j][1] for j in order}
+    return graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=tied_graphs())
+def test_spur_solver_matches_the_masked_dijkstra_reference(graph):
+    """Same (path, cost) sequence as full-Dijkstra spurs, ties included."""
+    assert list(yen_paths(graph, "n0", "n1")) == list(reference_yen(graph, "n0", "n1"))
 
 
 def test_yen_rejects_missing_endpoints_and_bad_k():

@@ -918,7 +918,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.engine, ephemeris, faults=faults, window=window, strategy=strategy
         )
     args.serve_extra = {
-        "kernel_backend": engine.kernel_backend,
         "window": window,
         "router": args.router,
     }
@@ -1001,7 +1000,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             live.force(False)
     rows = [
         ("engine", engine.name),
-        ("kernel backend", engine.kernel_backend),
         ("advance window", str(window) if window is not None else "full"),
         ("simulated duration", f"{args.duration:g} s"),
         ("requests", report.n_submitted),

@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro import kernels
-from repro.channels.fso import FSOChannelModel, _kernel_params
+from repro.channels.fso import FSOChannelModel
 from repro.data.ground_nodes import GroundNode
 from repro.errors import ValidationError
 from repro.network.links import LinkPolicy
@@ -93,24 +92,9 @@ def fill_budget_block(
     The shared fill behind :func:`compute_site_budget` (``horizon_rad``
     1e-3), the link-state cache's ground-satellite group pass
     (``horizon_rad`` 0.0, mirroring ``QuantumChannel.evaluate``), and the
-    windowed incremental fills. Runs the fused ``budgets.fill`` compiled
-    kernel when the numba backend is active and the model is
-    kernel-representable; otherwise the original masked NumPy pass, so
-    the fallback is bit-identical to the pre-kernel behaviour.
+    windowed incremental fills: one masked NumPy pass that evaluates the
+    transmissivity only where the platform clears ``horizon_rad``.
     """
-    fn = kernels.kernel("budgets.fill")
-    if fn is not None:
-        params = _kernel_params(fso_model, platform_altitude_km)
-        if params is not None:
-            flat_eta, flat_usable = fn(
-                np.ascontiguousarray(el, dtype=float).ravel(),
-                np.ascontiguousarray(rng, dtype=float).ravel(),
-                float(horizon_rad),
-                policy.min_elevation_rad,
-                policy.transmissivity_threshold,
-                *params,
-            )
-            return flat_eta.reshape(el.shape), flat_usable.reshape(el.shape)
     above = el > horizon_rad
     eta = np.zeros_like(el)
     if np.any(above):

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.errors import ValidationError
 from repro.obs import live
 from repro.routing.metrics import DEFAULT_EPSILON
@@ -157,15 +157,6 @@ class ServeEngine:
 
     #: Backend label ("direct" / "cached" / "matrix").
     name: str = "?"
-
-    @property
-    def kernel_backend(self) -> str:
-        """Active :mod:`repro.kernels` dispatch backend ("numpy"/"numba").
-
-        Surfaced in run manifests so a recorded number can always be
-        attributed to the code path that produced it.
-        """
-        return kernels.active_backend()
 
     @property
     def window(self) -> int | None:
@@ -563,7 +554,6 @@ def build_engine(
         raise ValidationError(
             f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}"
         )
-    kernels.warmup()
     model = fso_model or paper_satellite_fso()
     plane = faults.compile() if hasattr(faults, "compile") else faults
     router = build_strategy(

@@ -429,7 +429,6 @@ class ServeServer:
         }
         return {
             "engine": self.engine.name,
-            "kernel_backend": self.engine.kernel_backend,
             "started": self._started,
             "closed": self._closed,
             "uptime_s": time.monotonic() - self._created_at,

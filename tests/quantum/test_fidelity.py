@@ -124,6 +124,16 @@ class TestClosedForm:
         assert out[0] == pytest.approx(0.5)
         assert out[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("eta", [0.0, 1e-9, 0.123456789, 0.5, 1.0])
+    @pytest.mark.parametrize("convention", ["sqrt", "squared"])
+    def test_scalar_equals_array(self, eta, convention):
+        """The scalar fast path is bit-identical to the array path."""
+        scalar = entanglement_fidelity_from_transmissivity(eta, convention=convention)
+        array = entanglement_fidelity_from_transmissivity(
+            np.array([eta]), convention=convention
+        )
+        assert float(scalar) == float(array[0])
+
     def test_monotone_increasing(self):
         out = entanglement_fidelity_from_transmissivity(np.linspace(0, 1, 101))
         assert np.all(np.diff(out) > 0)

@@ -2,11 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import NoPathError, RoutingError
-from repro.routing.bellman_ford import bellman_ford, build_routing_tables, shortest_path
-from repro.routing.metrics import edge_cost
+from repro.routing.bellman_ford import (
+    FlatGraph,
+    bellman_ford,
+    build_routing_tables,
+    shortest_path,
+)
+from repro.routing.metrics import DEFAULT_EPSILON, edge_cost
 
 TRIANGLE = {
     "a": {"b": 0.9, "c": 0.5},
@@ -65,6 +71,83 @@ class TestBellmanFord:
         }
         result = bellman_ford(line, "n0")
         assert result.path_to("n3") == ["n0", "n1", "n2", "n3"]
+
+
+def reference_bellman_ford(graph, source, epsilon=DEFAULT_EPSILON):
+    """Textbook dict-loop Bellman–Ford: the oracle for :class:`FlatGraph`.
+
+    Relaxes edges in dict iteration order (outer dict, then neighbors)
+    with the ``candidate < cost - 1e-15`` improvement rule, so ties go to
+    the first relaxation that reached a node.
+    """
+    costs = {node: math.inf for node in graph}
+    predecessors = {node: None for node in graph}
+    costs[source] = 0.0
+    for _ in range(max(len(graph) - 1, 1)):
+        changed = False
+        for u, neighbors in graph.items():
+            for v, eta in neighbors.items():
+                candidate = costs[u] + edge_cost(eta, epsilon)
+                if candidate < costs[v] - 1e-15:
+                    costs[v] = candidate
+                    predecessors[v] = u
+                    changed = True
+        if not changed:
+            break
+    return costs, predecessors
+
+
+def tied_random_graph(rng, n_nodes=40, n_edges=160):
+    """Random undirected graph whose etas come from three values.
+
+    Drawing from a tiny eta set makes many distinct paths cost exactly
+    the same, so the tie-break rule decides a large share of the
+    predecessors.
+    """
+    graph = {f"n{i}": {} for i in range(n_nodes)}
+    for _ in range(n_edges):
+        a, b = rng.integers(0, n_nodes, size=2)
+        if a == b:
+            continue
+        eta = float(rng.choice([0.25, 0.5, 0.8]))
+        graph[f"n{a}"][f"n{b}"] = eta
+        graph[f"n{b}"][f"n{a}"] = eta
+    return graph
+
+
+class TestFlatGraphExact:
+    """FlatGraph.tree matches the dict-loop reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_random_graphs_match_reference(self, seed):
+        graph = tied_random_graph(np.random.default_rng(seed))
+        flat = FlatGraph(graph)
+        for source in ("n0", "n7", "n23"):
+            costs, predecessors = reference_bellman_ford(graph, source)
+            tree = flat.tree(source)
+            assert tree.costs == costs  # exact float equality
+            assert tree.predecessors == predecessors
+            wrapper = bellman_ford(graph, source)
+            assert wrapper.costs == costs
+            assert wrapper.predecessors == predecessors
+
+    def test_equal_cost_tie_keeps_first_relaxation(self):
+        # a->b->d and a->c->d cost exactly the same; b is relaxed first.
+        diamond = {
+            "a": {"b": 0.5, "c": 0.5},
+            "b": {"a": 0.5, "d": 0.5},
+            "c": {"a": 0.5, "d": 0.5},
+            "d": {"b": 0.5, "c": 0.5},
+        }
+        tree = FlatGraph(diamond).tree("a")
+        assert tree.predecessors["d"] == "b"
+        assert tree.path_to("d") == ["a", "b", "d"]
+
+    def test_disconnected_nodes_unreachable(self):
+        graph = {"a": {"b": 0.5}, "b": {"a": 0.5}, "c": {}}
+        tree = FlatGraph(graph).tree("a")
+        assert tree.predecessors["c"] is None
+        assert math.isinf(tree.costs["c"])
 
 
 class TestShortestPath:

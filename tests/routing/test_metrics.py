@@ -1,5 +1,6 @@
 """Tests for the transmissivity routing metric."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +57,15 @@ class TestPathTransmissivity:
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError):
             path_transmissivity([0.5, 1.5])
+
+    def test_scalar_equals_numpy_prod(self):
+        """The pure-Python product is bit-identical to ``np.prod``."""
+        rng = np.random.default_rng(5)
+        for n_links in (1, 2, 5):
+            link_etas = [float(x) for x in rng.uniform(0.01, 1.0, size=n_links)]
+            assert path_transmissivity(link_etas) == float(
+                np.prod(np.asarray(link_etas, dtype=float))
+            )
 
 
 class TestPathEdges:

@@ -70,16 +70,6 @@ class TestWindowedEquivalence:
             assert outcomes_equal(a, b)
 
 
-class TestKernelBackendTelemetry:
-    def test_engines_report_active_backend(self, small_ephemeris):
-        from repro import kernels
-
-        for kind in ("cached", "direct", "matrix"):
-            engine = build_engine(kind, small_ephemeris)
-            assert engine.kernel_backend == kernels.active_backend()
-            assert engine.kernel_backend in ("numpy", "numba")
-
-
 class TestPhaseSpans:
     def test_windowed_stream_attributes_phases(
         self, small_ephemeris, aligned_stream, telemetry

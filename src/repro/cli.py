@@ -328,12 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--rate", type=float, default=20.0, help="mean Poisson arrival rate [Hz]"
     )
-    p_serve.add_argument(
-        "--engine",
-        choices=("cached", "direct", "matrix"),
-        default="cached",
-        help="serving backend (default cached; all three are equivalence-tested)",
-    )
     p_serve.add_argument("--satellites", type=int, default=108)
     p_serve.add_argument("--step", type=float, default=30.0, help="ephemeris cadence [s]")
     p_serve.add_argument("--seed", type=int, default=7, help="arrival-stream seed")
@@ -915,7 +909,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     with obs.span("build-engine"):
         engine = build_engine(
-            args.engine, ephemeris, faults=faults, window=window, strategy=strategy
+            "cached", ephemeris, faults=faults, window=window, strategy=strategy
         )
     args.serve_extra = {
         "window": window,
@@ -1016,7 +1010,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rows.insert(1, ("router", f"{args.router} (k={args.k}, M={args.memory_slots})"))
         rows.insert(7, ("rescued (purified)", n_rescued))
         args.serve_extra["rescued"] = n_rescued
-    print(render_table(["metric", "value"], rows, title=f"STREAMING SERVICE ({args.engine})"))
+    print(render_table(["metric", "value"], rows, title=f"STREAMING SERVICE ({engine.name})"))
     causes = sorted(report.cause_counts.items(), key=lambda kv: -kv[1])
     if causes:
         print(render_table(["denial cause", "count"], causes, title="DENIAL CAUSES"))

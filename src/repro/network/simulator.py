@@ -160,7 +160,6 @@ class NetworkSimulator:
         self.timeline = EventTimeline()
         self._graph_cache: tuple[float, LinkGraph] | None = None
         self._linkstate: LinkStateCache | None = None
-        self._relaxed_graph_cache: tuple[float, LinkGraph] | None = None
         self._relaxed_linkstate: LinkStateCache | None = None
         #: channel -> (satellite sample indices, physics) of the cached
         #: cause cascade; see :meth:`_cascade_state`.
@@ -192,7 +191,6 @@ class NetworkSimulator:
         """Drop all memoised link state (call after mutating the network)."""
         self._graph_cache = None
         self._linkstate = None
-        self._relaxed_graph_cache = None
         self._relaxed_linkstate = None
         self._physics_memo = {}
 
@@ -211,6 +209,7 @@ class NetworkSimulator:
         Built lazily on the first rescue: same network, same fault
         plane, same fill window — only the admission threshold differs,
         so fault suppression composes identically with relaxation.
+        Every rescue reads it, also when ``use_cache`` is off.
         """
         if self._relaxed_linkstate is None:
             self._relaxed_linkstate = LinkStateCache(
@@ -221,16 +220,6 @@ class NetworkSimulator:
                 window=self.linkstate_window,
             )
         return self._relaxed_linkstate
-
-    def _relaxed_graph(self, t_s: float) -> LinkGraph:
-        """Relaxed-policy link graph on the direct (scalar) path."""
-        if self._relaxed_graph_cache is not None and self._relaxed_graph_cache[0] == t_s:
-            return self._relaxed_graph_cache[1]
-        graph = self.network.link_graph(
-            t_s, self.strategy.relaxed_policy, faults=self.faults
-        )
-        self._relaxed_graph_cache = (t_s, graph)
-        return graph
 
     def _rescue(
         self, source: str, destination: str, t_s: float, time_index: int | None = None
@@ -244,14 +233,10 @@ class NetworkSimulator:
         strategy = self.strategy
         if strategy is None or not strategy.active:
             return None
-        if self.use_cache:
-            rls = self._relaxed_cache
-            k = rls.time_index(t_s) if time_index is None else time_index
-            graph = rls.graph_at_index(k)
-            epoch: object = ("edges", rls.edge_key(k))
-        else:
-            graph = self._relaxed_graph(t_s)
-            epoch = ("t", t_s)
+        rls = self._relaxed_cache
+        k = rls.time_index(t_s) if time_index is None else time_index
+        graph = rls.graph_at_index(k)
+        epoch = ("edges", rls.edge_key(k))
 
         def is_platform(name: str) -> bool:
             return self.network.host(name).kind != "ground"

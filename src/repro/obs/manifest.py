@@ -71,23 +71,34 @@ def _iso_utc(unix_s: float) -> str:
 def git_sha(cwd: str | Path | None = None) -> str:
     """The current commit SHA, or "unknown" outside a git checkout.
 
+    A tree whose tracked files differ from ``HEAD`` reports
+    ``"<sha>-dirty"``, so a record measured on uncommitted changes is
+    never attributed to the commit they sit on (untracked files, such as
+    bench outputs, do not count).
+
     Args:
         cwd: directory to resolve the repository from; defaults to this
             file's directory (works for the source tree; an installed
             package reports "unknown", which is the honest answer).
     """
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(cwd) if cwd is not None else Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
+    where = Path(cwd) if cwd is not None else Path(__file__).parent
+
+    def git(*args: str) -> subprocess.CompletedProcess | None:
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=where, capture_output=True, text=True, timeout=10
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+
+    head = git("rev-parse", "HEAD")
+    sha = head.stdout.strip() if head is not None else ""
+    if head is None or head.returncode != 0 or not sha:
         return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+    status = git("status", "--porcelain", "--untracked-files=no")
+    if status is not None and status.returncode == 0 and status.stdout.strip():
+        return f"{sha}-dirty"
+    return sha
 
 
 def host_info() -> dict[str, Any]:

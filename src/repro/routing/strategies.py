@@ -2,8 +2,9 @@
 
 The paper's router serves a request over the single Bellman–Ford
 shortest path and denies everything else. This module adds the
-``k-shortest`` strategy behind every serving backend (direct / cached /
-matrix): when the strict single-path service denies a request, the
+``k-shortest`` strategy behind the simulator's router, and so behind
+the ``cached`` serving engine: when the strict single-path service
+denies a request, the
 strategy enumerates the best ``k`` simple paths on a *relaxed* link
 graph (same elevation gate, lower per-link transmissivity threshold),
 reserves entanglement-memory slots at each path's intermediate
@@ -14,8 +15,8 @@ a worst-case admitted two-hop path.
 
 Equivalence guarantees (pinned by ``tests/routing/``):
 
-* ``k = 1`` is the identity: the strategy never intervenes, so every
-  backend's outcomes are bit-identical to the legacy router.
+* ``k = 1`` is the identity: the strategy never intervenes, so the
+  engine's outcomes are bit-identical to the legacy router.
 * ``k >= 2`` is monotone: strict-path service is untouched (memory
   bounds budget only the *extra* pairs multipath holds concurrently),
   so the served set is a superset of the baseline's.
@@ -211,8 +212,8 @@ class MultipathPlan:
 class PathTable:
     """Installed candidate-path sets, keyed by ``(src, dst)`` per epoch.
 
-    An epoch identifies one link-state snapshot (the cache's weighted
-    feasible-edge key, or the timestamp on the direct path). A pair is
+    An epoch identifies one link-state snapshot (the relaxed cache's
+    weighted feasible-edge key). A pair is
     installed lazily, on its first lookup within an epoch, and reused by
     every later lookup in that epoch; advancing the epoch uninstalls
     every entry, so the table only ever holds current-epoch pairs.
@@ -343,7 +344,8 @@ class KShortestStrategy:
         destination: str,
         is_platform: Callable[[str], bool],
     ) -> tuple[CandidatePath, ...]:
-        """Yen enumeration over a relaxed link graph (direct / cached)."""
+        """Yen enumeration over a relaxed link graph: the simulator's rescue
+        candidate source."""
         if source not in graph or destination not in graph:
             return ()
         out: list[CandidatePath] = []
@@ -369,15 +371,17 @@ class KShortestStrategy:
     ) -> tuple[CandidatePath, ...]:
         """Two-hop relay enumeration over relaxed budget matrices.
 
-        The matrix analog of :meth:`graph_candidates`: relays usable to
-        both endpoints under the relaxed policy, ordered by the same
-        two-hop cost :meth:`SpaceGroundAnalysis.best_relay` minimises
-        (stable sort — float ties break by satellite index). Each relay
-        is emitted up to ``k`` times: successive pairs established over
-        the same relay are the matrix discretisation of the graph
-        backends' near-duplicate fiber-detour paths, and the memory
-        pool bounds how many a relay can actually hold concurrently
-        (2 slots each).
+        The matrix analog of :meth:`graph_candidates`, used by the
+        offline multipath evaluation (the 73.84 % golden pin and
+        ``benchmarks/bench_multipath.py``), not by the serving engine:
+        relays usable to both endpoints under the relaxed policy,
+        ordered by the same two-hop cost
+        :meth:`SpaceGroundAnalysis.best_relay` minimises (stable sort —
+        float ties break by satellite index). Each relay is emitted up
+        to ``k`` times: successive pairs established over the same relay
+        are the matrix discretisation of the graph's near-duplicate
+        fiber-detour paths, and the memory pool bounds how many a relay
+        can actually hold concurrently (2 slots each).
         """
         bs = relaxed.budget(source)
         bd = relaxed.budget(destination)

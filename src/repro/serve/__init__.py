@@ -1,16 +1,17 @@
-"""Always-on request serving: one engine API over the three serving paths.
+"""Always-on request serving: one engine over the link-state cache.
 
 ``repro.serve`` turns the repository's offline day-sweeps into a
 service. :mod:`repro.serve.engine` defines the :class:`ServeEngine`
-protocol — ``submit(request) -> ServeOutcome`` — and implements it over
-the three equivalence-tested serving paths (direct scalar simulator,
-vectorized link-state cache, budget-matrix analysis);
+protocol — ``submit(request) -> ServeOutcome`` — and implements it once,
+over the simulator's vectorized link-state cache (the ``cached``
+engine). The uncached scalar simulator and the budget-matrix analysis
+stay as reference oracles the tests compare the engine against;
 :mod:`repro.serve.server` is the asyncio front end with per-tenant
 bounded admission queues, backpressure/shedding, and latency/queue
 telemetry; :mod:`repro.serve.sharded` replays a stream across worker
 processes. The differential harness in ``tests/serve/`` pins streaming
-outcomes bit-identical to the batch path per backend, with and without
-fault schedules, serial and sharded.
+outcomes bit-identical to the batch path, with and without fault
+schedules, serial and sharded.
 
 Live operation (DESIGN.md §14): :mod:`repro.serve.http` attaches the
 ``/metrics`` / ``/healthz`` / ``/readyz`` / ``/status`` observability
@@ -22,7 +23,6 @@ dashboard. Both read the windowed instruments of
 """
 
 from repro.serve.engine import (
-    ENGINE_KINDS,
     ServeEngine,
     ServeOutcome,
     build_engine,
@@ -33,7 +33,6 @@ from repro.serve.server import ServeServer, ServerConfig, StreamReport
 from repro.serve.sharded import serve_stream_sharded
 
 __all__ = [
-    "ENGINE_KINDS",
     "ObservabilityServer",
     "ServeEngine",
     "ServeOutcome",

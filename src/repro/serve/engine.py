@@ -1,23 +1,20 @@
-"""The :class:`ServeEngine` protocol and its three backends.
+"""The :class:`ServeEngine` protocol and the serving engine.
 
-One request API — ``submit(request) -> ServeOutcome`` — over the three
-serving paths the repository already equivalence-tests offline:
+One request API — ``submit(request) -> ServeOutcome`` — over one serving
+path: :class:`~repro.network.simulator.NetworkSimulator` reading the
+vectorized :class:`~repro.engine.linkstate.LinkStateCache` (the
+``cached`` engine). The uncached simulator
+(``NetworkSimulator(use_cache=False)``) and the budget-matrix
+:class:`~repro.core.analysis.SpaceGroundAnalysis` stay as reference
+oracles that the tests call directly.
 
-* ``direct``: per-channel scalar evaluation through
-  :class:`~repro.network.simulator.NetworkSimulator` (the oracle);
-* ``cached``: the same simulator reading the vectorized
-  :class:`~repro.engine.linkstate.LinkStateCache`;
-* ``matrix``: the budget-matrix two-hop relay argmin of
-  :class:`~repro.core.analysis.SpaceGroundAnalysis`.
-
-Every engine also exposes the *batch* shape of its path through
-:meth:`ServeEngine.serve_batch` — for the simulator engines that is
-:meth:`NetworkSimulator.serve_requests` (shared routing trees), for the
-matrix engine :meth:`SpaceGroundAnalysis.serve` — and the differential
-harness in ``tests/serve/`` asserts that replaying one timestamped
-request sequence through ``submit`` and through ``serve_batch`` yields
-bit-identical outcomes per backend: the streaming front end cannot
-drift from the sweeps the paper numbers come from.
+The engine also exposes the *batch* shape of its path through
+:meth:`ServeEngine.serve_batch` (:meth:`NetworkSimulator.serve_requests`,
+shared routing trees), and the differential harness in ``tests/serve/``
+asserts that replaying one timestamped request sequence through
+``submit`` and through ``serve_batch`` yields bit-identical outcomes:
+the streaming front end cannot drift from the sweeps the paper numbers
+come from.
 
 Outcomes are pure functions of ``(source, destination, t_s)`` — an
 engine holds no per-request mutable state — which is what makes the
@@ -26,7 +23,7 @@ sharded replay identical to a serial one.
 
 Time advances through :meth:`ServeEngine.advance_to`: a monotonic
 cursor over the precomputed series (grid bisection from the last
-position, never a full-day recompute), mirroring
+position, never a full-day recompute), delegated to
 :meth:`LinkStateCache.advance_index`.
 """
 
@@ -36,23 +33,18 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.errors import ValidationError
 from repro.obs import live
 from repro.routing.metrics import DEFAULT_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.analysis import SpaceGroundAnalysis
     from repro.network.simulator import NetworkSimulator, RequestOutcome
     from repro.network.workload import TimedRequest
     from repro.orbits.ephemeris import Ephemeris
     from repro.routing.strategies import StrategyConfig
 
 __all__ = [
-    "ENGINE_KINDS",
-    "MatrixServeEngine",
     "ServeEngine",
     "ServeOutcome",
     "SimulatorServeEngine",
@@ -60,10 +52,7 @@ __all__ = [
     "outcomes_equal",
 ]
 
-#: The recognised ``build_engine`` kinds, CLI choice order.
-ENGINE_KINDS = ("cached", "direct", "matrix")
-
-# Live engine-level instruments: request rate through the backend (both
+# Live engine-level instruments: request rate through the engine (both
 # the streaming and the batch shape) and the ephemeris cursor position —
 # what the /readyz "cursor advancing" check and `repro top` watch.
 _LIVE_ENGINE_SUBMITS = live.windowed_counter("serve.live.engine.submits")
@@ -148,23 +137,22 @@ def outcomes_equal(a: ServeOutcome, b: ServeOutcome) -> bool:
 
 
 class ServeEngine:
-    """Common protocol of the three serving backends.
+    """Common protocol of serving engines.
 
     Subclasses implement :meth:`submit` (one request, the streaming
     shape), :meth:`_serve_group` (all requests of one timestamp, the
     batch shape) and :meth:`advance_to` (monotonic state cursor).
     """
 
-    #: Backend label ("direct" / "cached" / "matrix").
+    #: Engine label, shown on ``/status`` and in the ``repro serve`` table.
     name: str = "?"
 
     @property
     def window(self) -> int | None:
         """Incremental-advance chunk size in ephemeris samples.
 
-        ``None`` means the backend precomputed its whole horizon eagerly
-        (or, for ``direct``, evaluates per request and has no notion of
-        a fill window). Surfaced on ``/status`` and in the manifest's
+        ``None`` means the engine precomputed its whole horizon eagerly.
+        Surfaced on ``/status`` and in the manifest's
         ``extra.serve`` so an operator can see which mode is live.
         """
         return None
@@ -192,7 +180,7 @@ class ServeEngine:
         raise NotImplementedError
 
     def serve_batch(self, requests: Iterable["TimedRequest"]) -> list[ServeOutcome]:
-        """Replay a time-ordered stream through the backend's batch path.
+        """Replay a time-ordered stream through the engine's batch path.
 
         Consecutive requests with equal timestamps form one batch call —
         exactly how the offline sweeps evaluate a request set per sample
@@ -212,7 +200,7 @@ class ServeEngine:
 
 
 class SimulatorServeEngine(ServeEngine):
-    """``direct`` / ``cached`` backend over a :class:`NetworkSimulator`.
+    """The ``cached`` engine over a link-state-cached :class:`NetworkSimulator`.
 
     Streaming requests go through :meth:`NetworkSimulator.serve_request`,
     batches through :meth:`NetworkSimulator.serve_requests`; both reduce
@@ -221,37 +209,31 @@ class SimulatorServeEngine(ServeEngine):
     them.
 
     Args:
-        simulator: the bound simulator; its ``use_cache`` flag decides
-            which serving path (and this engine's ``name``).
+        simulator: the bound simulator, built with ``use_cache=True``.
         attribute_denials: compute the canonical denial cause for every
             unserved request through the flight-recorder cascade over
-            each candidate uplink. The ``cached`` backend reads channel
-            physics from a per-sample memo, so a denial costs a fault
-            and duty-cycle check per channel plus one physics
-            evaluation per channel and new sample; ``direct`` evaluates
-            ~2 scalar channels per platform on every denial. Disable for
-            throughput runs; denied outcomes then carry ``cause=None``.
+            each candidate uplink. Channel physics comes from a
+            per-sample memo, so a denial costs a fault and duty-cycle
+            check per channel plus one physics evaluation per channel
+            and new sample. Disable for throughput runs; denied outcomes
+            then carry ``cause=None``.
     """
+
+    name = "cached"
 
     def __init__(
         self, simulator: "NetworkSimulator", *, attribute_denials: bool = True
     ) -> None:
         self.simulator = simulator
         self.attribute_denials = attribute_denials
-        self.name = "cached" if simulator.use_cache else "direct"
         self._cursor_s: float | None = None
 
     @property
     def window(self) -> int | None:
-        if self.simulator.use_cache:
-            return self.simulator.linkstate.window
-        return None
+        return self.simulator.linkstate.window
 
     def cursor_info(self) -> dict:
-        t_index = (
-            int(self.simulator.linkstate._cursor) if self.simulator.use_cache else None
-        )
-        return {"t_index": t_index, "t_s": self._cursor_s}
+        return {"t_index": int(self.simulator.linkstate._cursor), "t_s": self._cursor_s}
 
     def advance_to(self, t_s: float) -> None:
         if t_s != self._cursor_s:
@@ -259,9 +241,8 @@ class SimulatorServeEngine(ServeEngine):
             # times per sample; the gauge only needs actual movement.
             self._cursor_s = t_s
             _LIVE_ENGINE_CURSOR.set(t_s)
-        if self.simulator.use_cache:
-            with obs.span("propagate"):
-                self.simulator.linkstate.advance_index(t_s)
+        with obs.span("propagate"):
+            self.simulator.linkstate.advance_index(t_s)
 
     def _outcome(self, request: "TimedRequest", raw: "RequestOutcome") -> ServeOutcome:
         # A strategy-attributed cause was decided during serving (the
@@ -304,213 +285,10 @@ class SimulatorServeEngine(ServeEngine):
             return [self._outcome(r, raw) for r, raw in zip(group, raws)]
 
 
-class MatrixServeEngine(ServeEngine):
-    """``matrix`` backend over a :class:`SpaceGroundAnalysis`.
-
-    Serves a request as the two-hop relay argmin of the precomputed
-    ``(n_sats, n_times)`` budget matrices: path ``src -> relay -> dst``
-    with ``eta = eta_src * eta_dst``, fidelity through the same closed
-    form as the simulator paths. Arrival times quantize to the ephemeris
-    grid through a monotonic cursor (the same most-recent-sample rule as
-    :meth:`LinkStateCache.advance_index`). Denial causes come from
-    :meth:`SpaceGroundAnalysis.request_detail`, which reads the same
-    matrices — cheap enough to leave on.
-    """
-
-    name = "matrix"
-
-    def __init__(
-        self,
-        analysis: "SpaceGroundAnalysis",
-        *,
-        epsilon: float = DEFAULT_EPSILON,
-        fidelity_convention: str = "sqrt",
-        n_satellites: int | None = None,
-        attribute_denials: bool = True,
-        strategy=None,
-        relaxed_analysis: "SpaceGroundAnalysis | None" = None,
-    ) -> None:
-        self.analysis = analysis
-        self.epsilon = epsilon
-        self.fidelity_convention = fidelity_convention
-        self.n_satellites = n_satellites
-        self.attribute_denials = attribute_denials
-        #: Active multipath strategy and its relaxed-policy twin of the
-        #: budget analysis (same ephemeris/model/faults, lower
-        #: threshold) — the matrix backend's rescue candidate source.
-        self.strategy = strategy
-        self._relaxed = relaxed_analysis
-        self._cursor = 0
-        self._cursor_s: float | None = None
-        self._windowed = analysis.table.window is not None
-
-    @property
-    def window(self) -> int | None:
-        return self.analysis.table.window
-
-    def cursor_info(self) -> dict:
-        return {"t_index": int(self._cursor), "t_s": self._cursor_s}
-
-    # --- time cursor --------------------------------------------------------
-
-    def advance_to(self, t_s: float) -> None:
-        if t_s != self._cursor_s:
-            self._cursor_s = t_s
-            _LIVE_ENGINE_CURSOR.set(t_s)
-        with obs.span("propagate"):
-            self.time_index(t_s)
-
-    def _ensure(self, k: int) -> int:
-        """Windowed tables: pull the budget fill frontier past ``k``."""
-        if self._windowed:
-            with obs.span("budget"):
-                self.analysis.ensure_time_index(k)
-        return k
-
-    def time_index(self, t_s: float) -> int:
-        """Grid index for ``t_s``: monotonic-cursor bisection, full search
-        behind the cursor (result always equals the plain searchsorted rule)."""
-        times = self.analysis.times_s
-        k = self._cursor
-        if times[k] <= t_s:
-            if k + 1 >= times.size or t_s < times[k + 1]:
-                return self._ensure(k)
-            k = k + int(np.searchsorted(times[k + 1 :], t_s, side="right"))
-            k = min(k, times.size - 1)
-            self._cursor = k
-            return self._ensure(k)
-        idx = int(np.searchsorted(times, t_s, side="right") - 1)
-        return self._ensure(min(max(idx, 0), times.size - 1))
-
-    # --- serving ------------------------------------------------------------
-
-    def _rescue(self, request: "TimedRequest", time_index: int):
-        """Multipath rescue over the relaxed budget matrices.
-
-        Returns the strategy's :class:`~repro.routing.strategies.MultipathPlan`,
-        or ``None`` when no strategy is active or the relaxed matrices
-        hold no candidate relay (legacy attribution then applies).
-        """
-        strategy = self.strategy
-        if strategy is None or self._relaxed is None or not strategy.active:
-            return None
-        if self._relaxed.table.window is not None:
-            with obs.span("budget"):
-                self._relaxed.ensure_time_index(time_index)
-        pair = (request.source, request.destination)
-
-        def enumerate_pair(p: tuple[str, str]):
-            return strategy.matrix_candidates(
-                self._relaxed, p[0], p[1], time_index, self.n_satellites
-            )
-
-        candidates = strategy.candidates(pair, ("k", time_index), enumerate_pair)
-        if not candidates:
-            return None
-        return strategy.plan(candidates, request.t_s)
-
-    def _outcome(
-        self, request: "TimedRequest", time_index: int, eta: float | None
-    ) -> ServeOutcome:
-        if eta is None:
-            plan = self._rescue(request, time_index)
-            if plan is not None and plan.served:
-                return ServeOutcome(
-                    request_id=request.request_id,
-                    source=request.source,
-                    destination=request.destination,
-                    t_s=request.t_s,
-                    tenant=request.tenant,
-                    served=True,
-                    path=plan.path,
-                    path_eta=plan.eta,
-                    fidelity=plan.fidelity,
-                    cause=None,
-                    n_paths=plan.n_paths,
-                    purified=True,
-                )
-            cause = plan.cause if plan is not None else None
-            if cause is None and self.attribute_denials:
-                detail = self.analysis.request_detail(
-                    request.source,
-                    request.destination,
-                    time_index,
-                    self.epsilon,
-                    n_satellites=self.n_satellites,
-                    max_candidates=0,
-                )
-                cause = detail["cause"].value
-            return ServeOutcome(
-                request_id=request.request_id,
-                source=request.source,
-                destination=request.destination,
-                t_s=request.t_s,
-                tenant=request.tenant,
-                served=False,
-                path=(),
-                path_eta=0.0,
-                fidelity=float("nan"),
-                cause=cause,
-            )
-        from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
-
-        hit = self.analysis.best_relay(
-            request.source,
-            request.destination,
-            time_index,
-            self.epsilon,
-            n_satellites=self.n_satellites,
-        )
-        relay = self.analysis.ephemeris.names[hit[0]]
-        fidelity = float(
-            entanglement_fidelity_from_transmissivity(
-                eta, convention=self.fidelity_convention
-            )
-        )
-        return ServeOutcome(
-            request_id=request.request_id,
-            source=request.source,
-            destination=request.destination,
-            t_s=request.t_s,
-            tenant=request.tenant,
-            served=True,
-            path=(request.source, relay, request.destination),
-            path_eta=eta,
-            fidelity=fidelity,
-            cause=None,
-        )
-
-    def submit(self, request: "TimedRequest") -> ServeOutcome:
-        _LIVE_ENGINE_SUBMITS.inc()
-        k = self.time_index(request.t_s)
-        with obs.span("serve"):
-            hit = self.analysis.best_relay(
-                request.source,
-                request.destination,
-                k,
-                self.epsilon,
-                n_satellites=self.n_satellites,
-            )
-            return self._outcome(request, k, None if hit is None else hit[1])
-
-    def _serve_group(
-        self, t_s: float, group: Sequence["TimedRequest"]
-    ) -> list[ServeOutcome]:
-        _LIVE_ENGINE_SUBMITS.inc(len(group))
-        k = self.time_index(t_s)
-        with obs.span("serve"):
-            etas = self.analysis.serve(
-                [r.endpoints for r in group], k, self.epsilon,
-                n_satellites=self.n_satellites,
-            )
-            return [self._outcome(r, k, eta) for r, eta in zip(group, etas)]
-
-
 def build_engine(
     kind: str,
     ephemeris: "Ephemeris",
     *,
-    sites=None,
     fso_model=None,
     policy=None,
     faults=None,
@@ -520,81 +298,38 @@ def build_engine(
     window: int | None = None,
     strategy: "StrategyConfig | None" = None,
 ) -> ServeEngine:
-    """Assemble a :class:`ServeEngine` of the given ``kind`` over the QNTN LANs.
+    """Assemble the ``cached`` :class:`ServeEngine` over the QNTN LANs.
 
     Args:
-        kind: one of :data:`ENGINE_KINDS`.
+        kind: must be ``"cached"``; any other value raises
+            :class:`~repro.errors.ValidationError`. The positional slot
+            stays so existing ``build_engine("cached", ...)`` callers,
+            the benchmark's workloads among them, keep working.
         ephemeris: constellation movement sheet.
-        sites: ground nodes (defaults to the paper's Table I set).
         fso_model: ground-satellite channel model (paper preset default).
-        policy / epsilon / fidelity_convention: serving knobs, identical
-            defaults across all three kinds.
+        policy / epsilon / fidelity_convention: serving knobs.
         faults: realized :class:`~repro.faults.FaultSchedule`, compiled
-            :class:`~repro.faults.plane.FaultPlane`, or ``None``; all
-            backends consume the same compiled plane.
+            :class:`~repro.faults.plane.FaultPlane`, or ``None``.
         attribute_denials: compute canonical denial causes for unserved
             requests (see :class:`SimulatorServeEngine`).
         window: incremental-advance chunk size in ephemeris samples.
             ``None`` keeps the eager full-horizon precompute. When set,
-            the ``cached`` link-state series and the ``matrix`` budget
-            table extend lazily as the time cursor advances (identical
-            results, lower time-to-first-request); ``direct`` evaluates
-            per request and ignores it.
+            the link-state series extend lazily as the time cursor
+            advances (identical results, lower time-to-first-request).
         strategy: optional
             :class:`~repro.routing.strategies.StrategyConfig` mounting
-            the multipath router behind the backend (``--router
+            the multipath router behind the engine (``--router
             k-shortest``). ``None`` / ``router="shortest"`` keeps the
-            legacy single-path router on every backend.
+            legacy single-path router.
     """
     from repro.channels.presets import paper_satellite_fso
-    from repro.data.ground_nodes import all_ground_nodes
-    from repro.routing.strategies import build_strategy
-
-    if kind not in ENGINE_KINDS:
-        raise ValidationError(
-            f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}"
-        )
-    model = fso_model or paper_satellite_fso()
-    plane = faults.compile() if hasattr(faults, "compile") else faults
-    router = build_strategy(
-        strategy,
-        policy=policy,
-        fidelity_convention=fidelity_convention,
-        epsilon=epsilon,
-    )
-    if kind == "matrix":
-        from repro.core.analysis import SpaceGroundAnalysis
-
-        site_list = list(sites) if sites is not None else all_ground_nodes()
-        analysis = SpaceGroundAnalysis(
-            ephemeris,
-            site_list,
-            model,
-            policy=policy,
-            faults=plane,
-            window=window,
-        )
-        relaxed_analysis = None
-        if router is not None and router.active:
-            relaxed_analysis = SpaceGroundAnalysis(
-                ephemeris,
-                site_list,
-                model,
-                policy=router.relaxed_policy,
-                faults=plane,
-                window=window,
-            )
-        return MatrixServeEngine(
-            analysis,
-            epsilon=epsilon,
-            fidelity_convention=fidelity_convention,
-            attribute_denials=attribute_denials,
-            strategy=router,
-            relaxed_analysis=relaxed_analysis,
-        )
     from repro.network.simulator import NetworkSimulator
     from repro.network.topology import attach_satellites, build_qntn_ground_network
+    from repro.routing.strategies import build_strategy
 
+    if kind != "cached":
+        raise ValidationError(f"unknown engine kind {kind!r}; expected 'cached'")
+    model = fso_model or paper_satellite_fso()
     network = build_qntn_ground_network()
     attach_satellites(network, ephemeris, model)
     simulator = NetworkSimulator(
@@ -602,9 +337,14 @@ def build_engine(
         policy=policy,
         fidelity_convention=fidelity_convention,
         epsilon=epsilon,
-        use_cache=(kind == "cached"),
-        faults=plane,
-        linkstate_window=window if kind == "cached" else None,
-        strategy=router,
+        use_cache=True,
+        faults=faults.compile() if hasattr(faults, "compile") else faults,
+        linkstate_window=window,
+        strategy=build_strategy(
+            strategy,
+            policy=policy,
+            fidelity_convention=fidelity_convention,
+            epsilon=epsilon,
+        ),
     )
     return SimulatorServeEngine(simulator, attribute_denials=attribute_denials)

@@ -169,7 +169,7 @@ class ServeServer:
     """Per-tenant queued serving over one :class:`ServeEngine`.
 
     Args:
-        engine: the serving backend.
+        engine: the serving engine.
         config: admission-control knobs.
         faults: optional compiled
             :class:`~repro.faults.plane.FaultPlane`; consumers report

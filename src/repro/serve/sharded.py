@@ -47,7 +47,6 @@ def _serve_stream_shard(args: tuple) -> tuple[list[ServeOutcome], dict[str, Any]
     (
         ephemeris,
         requests,
-        kind,
         fso_model,
         policy,
         convention,
@@ -79,7 +78,7 @@ def _serve_stream_shard(args: tuple) -> tuple[list[ServeOutcome], dict[str, Any]
         if isinstance(ephemeris, EphemerisHandle):
             ephemeris = attach_ephemeris(ephemeris, attachment)
         engine = build_engine(
-            kind,
+            "cached",
             ephemeris,
             fso_model=fso_model,
             policy=policy,
@@ -122,7 +121,6 @@ def serve_stream_sharded(
     ephemeris: Any,
     requests: Sequence[Any],
     *,
-    engine: str = "cached",
     n_workers: int | None = 0,
     n_shards: int | None = None,
     fso_model: Any = None,
@@ -138,11 +136,13 @@ def serve_stream_sharded(
 ) -> list[ServeOutcome]:
     """Replay a timestamped request stream across worker processes.
 
+    Every worker serves its block through its own ``cached`` engine
+    (:func:`~repro.serve.engine.build_engine`).
+
     Args:
         ephemeris: constellation movement sheet (shared by every worker).
         requests: time-ordered :class:`~repro.network.workload.TimedRequest`
             records.
-        engine: backend kind (``cached`` / ``direct`` / ``matrix``).
         n_workers: process count; 0 (default) replays serially in-process.
         n_shards: contiguous request blocks (default: one per worker).
         fso_model / policy / fidelity_convention / epsilon /
@@ -197,7 +197,6 @@ def serve_stream_sharded(
             (
                 payload,
                 block,
-                engine,
                 fso_model,
                 policy,
                 fidelity_convention,

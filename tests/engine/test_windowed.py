@@ -18,7 +18,6 @@ from repro.engine.budgets import LinkBudgetTable
 from repro.errors import ValidationError
 from repro.faults import FaultSchedule, LinkFlap, SatelliteOutage, WeatherFade
 from repro.network.topology import attach_satellites, build_qntn_ground_network
-from repro.core.analysis import SpaceGroundAnalysis
 
 WINDOWS = [1, 7, 64, 120, 170]  # 120 == n_times for the 2 h / 60 s fixture
 
@@ -151,14 +150,8 @@ class TestBudgetTableWindowed:
         with pytest.raises(ValidationError):
             LinkBudgetTable(small_ephemeris, sites, paper_satellite_fso(), window=0)
 
-    def test_analysis_window_and_budgets_exclusive(self, small_ephemeris, sites):
-        model = paper_satellite_fso()
-        table = LinkBudgetTable(small_ephemeris, sites, model)
-        with pytest.raises(ValidationError):
-            SpaceGroundAnalysis(
-                small_ephemeris, sites, model, budgets=table, window=8
-            )
-
-    def test_analysis_ensure_time_index_noop_when_eager(self, small_ephemeris, sites):
-        analysis = SpaceGroundAnalysis(small_ephemeris, sites, paper_satellite_fso())
-        analysis.ensure_time_index(0)  # must not raise or recompute
+    def test_ensure_index_noop_when_eager(self, small_ephemeris, sites):
+        table = LinkBudgetTable(small_ephemeris, sites, paper_satellite_fso())
+        budget = table.budget(sites[0].name)
+        table.ensure_index(0)  # must not raise or recompute
+        assert budget is table.budget(sites[0].name)

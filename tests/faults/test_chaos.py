@@ -243,7 +243,6 @@ def test_multipath_serial_equals_sharded_under_chaos(schedule, small_ephemeris):
         serve_stream_sharded(
             small_ephemeris,
             stream,
-            engine="cached",
             faults=realized,
             strategy=strategy,
             n_workers=0,

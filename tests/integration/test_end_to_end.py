@@ -72,7 +72,8 @@ class TestComparisonPipeline:
 class TestObjectLevelAgainstVectorized:
     def test_full_request_agreement_on_subsample(self, day_ephemeris):
         """NetworkSimulator (objects + Bellman-Ford) and the array engine
-        must produce identical served/eta decisions."""
+        must produce identical served/eta decisions, and every denial
+        must carry the same canonical cause in both models."""
         space = SpaceGroundArchitecture(
             12,
             duration_s=86400.0,
@@ -82,6 +83,7 @@ class TestObjectLevelAgainstVectorized:
         analysis = space.analysis()
         simulator = space.build_simulator()
         pairs = [("ttu-0", "epb-5"), ("ornl-2", "epb-11"), ("ttu-4", "ornl-8")]
+        n_denied = 0
         for t_idx in np.linspace(0, analysis.n_times - 1, 12).astype(int):
             t_s = float(analysis.times_s[t_idx])
             fast = analysis.serve(pairs, int(t_idx))
@@ -90,6 +92,13 @@ class TestObjectLevelAgainstVectorized:
                 assert outcome.served == (eta is not None)
                 if eta is not None:
                     assert outcome.path_transmissivity == pytest.approx(eta, rel=1e-9)
+                else:
+                    n_denied += 1
+                    detail = analysis.request_detail(
+                        src, dst, int(t_idx), max_candidates=0
+                    )
+                    assert detail["cause"] == simulator.denial_cause(src, dst, t_s)
+        assert n_denied > 0, "subsample never exercised the denial cascade"
 
 
 class TestMovementSheetWorkflow:

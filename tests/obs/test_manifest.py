@@ -1,6 +1,10 @@
 """Tests for the run manifest and its provenance helpers."""
 
 import json
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,26 +19,75 @@ from repro.obs.manifest import (
 )
 
 
+def _benchmarks_reporting():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+    try:
+        from benchmarks import reporting
+    finally:
+        sys.path.pop(0)
+    return reporting
+
+
+@pytest.fixture
+def scratch_repo(tmp_path):
+    """A one-commit git repository with one tracked file."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (repo / "tracked.txt").write_text("v1\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "init")
+    return repo
+
+
 class TestProvenance:
     def test_git_sha_shape(self):
         sha = git_sha()
-        assert sha == "unknown" or (len(sha) == 40 and all(c in "0123456789abcdef" for c in sha))
+        assert sha == "unknown" or re.fullmatch(r"[0-9a-f]{40}(-dirty)?", sha)
 
     def test_git_sha_outside_checkout(self, tmp_path):
         assert git_sha(cwd=tmp_path) == "unknown"
+
+    def test_git_sha_marks_dirty_tree(self, scratch_repo):
+        clean = git_sha(cwd=scratch_repo)
+        assert re.fullmatch(r"[0-9a-f]{40}", clean)
+        (scratch_repo / "untracked.txt").write_text("bench output\n")
+        assert git_sha(cwd=scratch_repo) == clean
+        (scratch_repo / "tracked.txt").write_text("v2\n")
+        assert git_sha(cwd=scratch_repo) == f"{clean}-dirty"
+
+    def test_dirty_run_appends_after_parent_record(self, scratch_repo, tmp_path):
+        """A run on uncommitted changes must not overwrite the record of
+        the commit it sits on."""
+        reporting = _benchmarks_reporting()
+        out = tmp_path / "trajectory"
+        clean = {"bench": "x", "git_sha": git_sha(cwd=scratch_repo)}
+        reporting.append_trajectory(clean, trajectory_dir=out)
+        (scratch_repo / "tracked.txt").write_text("v2\n")
+        dirty = {"bench": "x", "git_sha": git_sha(cwd=scratch_repo)}
+        path = reporting.append_trajectory(dirty, trajectory_dir=out)
+        history = json.loads(path.read_text())["trajectory"]
+        assert [e["git_sha"] for e in history] == [
+            clean["git_sha"],
+            f"{clean['git_sha']}-dirty",
+        ]
 
     def test_host_info_fields(self):
         info = host_info()
         assert {"hostname", "platform", "machine", "python", "cpu_count"} <= set(info)
 
     def test_benchmarks_reporting_reexports(self):
-        import sys
-
-        sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
-        try:
-            from benchmarks import reporting
-        finally:
-            sys.path.pop(0)
+        reporting = _benchmarks_reporting()
         assert reporting.git_sha is git_sha
         assert reporting.host_info is host_info
 

@@ -3,7 +3,7 @@
 The equivalence harness runs the full 108-satellite paper constellation
 over one day (120 s cadence keeps the movement sheet cheap to build
 while preserving the day-long visibility pattern) and replays one
-grid-aligned Poisson request stream through every serving backend.
+grid-aligned Poisson request stream through the serving engine.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ def day_ephemeris_108():
 def day_stream_108(day_ephemeris_108):
     """~80 grid-aligned inter-LAN requests spread over the day.
 
-    Rate 1 mHz keeps the per-request direct backend affordable while
-    still producing a double-digit rescue count at k=2 (the
+    Rate 1 mHz still produces a double-digit rescue count at k=2 (the
     monotonicity tests assert the rescue leg is non-vacuous).
     """
     stream = poisson_request_stream(
@@ -47,28 +46,25 @@ def day_stream_108(day_ephemeris_108):
 
 @pytest.fixture(scope="session")
 def replays(day_ephemeris_108, day_stream_108):
-    """Memoized serial replays, keyed ``(kind, strategy)``.
+    """Memoized serial replays, keyed by strategy.
 
-    The direct backend rebuilds its link graph per request (~45 s per
-    pass over the day stream), and several tests compare against the
-    same baseline — one serial replay per (backend, strategy) point is
-    enough for all of them. Pooled replays are never memoized: worker
-    independence is exactly what those tests measure.
+    Several tests compare against the same baseline, so one serial
+    replay per strategy is enough for all of them. Pooled replays are
+    never memoized: worker independence is exactly what those tests
+    measure.
     """
     from repro.serve import serve_stream_sharded
 
     memo = {}
 
-    def run(kind, strategy=None):
-        key = (kind, strategy)
-        if key not in memo:
-            memo[key] = serve_stream_sharded(
+    def run(strategy=None):
+        if strategy not in memo:
+            memo[strategy] = serve_stream_sharded(
                 day_ephemeris_108,
                 day_stream_108,
-                engine=kind,
                 n_workers=0,
                 strategy=strategy,
             )
-        return memo[key]
+        return memo[strategy]
 
     return run

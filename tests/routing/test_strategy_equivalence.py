@@ -3,7 +3,7 @@
 The guarantees this file pins, on the full 108-satellite paper day:
 
 * **k = 1 is the identity.** Mounting the k-shortest strategy with
-  ``k = 1`` leaves every backend's outcome stream bit-identical to the
+  ``k = 1`` leaves the engine's outcome stream bit-identical to the
   legacy Bellman–Ford router — served set, paths, etas, fidelities and
   per-cause denial totals all match exactly.
 * **k >= 2 is monotone.** Strict-path service is untouched: every
@@ -11,8 +11,8 @@ The guarantees this file pins, on the full 108-satellite paper day:
   the *same* fidelity, and the rescue layer only converts denials into
   purified service. On this workload the rescue count is strictly
   positive, so the monotonicity leg is not vacuous.
-* **Streaming == batch** survives the rescue layer on every backend
-  (the batch tail and the per-request tail are distinct code paths).
+* **Streaming == batch** survives the rescue layer (the batch tail
+  and the per-request tail are distinct code paths).
 * **Shard determinism.** Under the active strategy the sharded replay
   is independent of worker count (0 / 1 / 2 / 4), including the
   strategy-specific denial causes.
@@ -25,7 +25,6 @@ import pytest
 
 from repro.routing.strategies import StrategyConfig
 from repro.serve import (
-    ENGINE_KINDS,
     ServeServer,
     ServerConfig,
     build_engine,
@@ -41,22 +40,20 @@ def cause_totals(outcomes):
     return collections.Counter(o.cause for o in outcomes if not o.served)
 
 
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
-def test_k1_bit_identical_to_legacy_router(kind, replays, day_stream_108):
+def test_k1_bit_identical_to_legacy_router(replays, day_stream_108):
     """The strategy at k=1 never intervenes: outcomes match field-wise."""
-    legacy = replays(kind)
-    routed = replays(kind, K1)
+    legacy = replays()
+    routed = replays(K1)
     assert len(legacy) == len(routed) == len(day_stream_108)
     for a, b in zip(legacy, routed):
         assert outcomes_equal(a, b), (a, b)
     assert cause_totals(legacy) == cause_totals(routed)
 
 
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
-def test_k2_service_is_monotone_over_baseline(kind, replays):
+def test_k2_service_is_monotone_over_baseline(replays):
     """Baseline service survives unchanged; rescues only add service."""
-    legacy = replays(kind)
-    routed = replays(kind, K2)
+    legacy = replays()
+    routed = replays(K2)
     n_rescued = 0
     for base, multi in zip(legacy, routed):
         if base.served:
@@ -79,7 +76,7 @@ def test_k2_service_is_monotone_over_baseline(kind, replays):
 
 def test_k2_denials_carry_strategy_causes(replays):
     """Unrescued denials attribute route_exhausted / legacy causes only."""
-    routed = replays("cached", K2)
+    routed = replays(K2)
     causes = cause_totals(routed)
     assert None not in causes
     allowed = {
@@ -98,11 +95,10 @@ def test_sharded_replay_is_worker_count_independent(
     n_workers, replays, day_ephemeris_108, day_stream_108
 ):
     """Serial == sharded under the active strategy, any pool size."""
-    serial = replays("cached", K2)
+    serial = replays(K2)
     pooled = serve_stream_sharded(
         day_ephemeris_108,
         day_stream_108,
-        engine="cached",
         strategy=K2,
         n_workers=n_workers,
         n_shards=4,
@@ -113,9 +109,8 @@ def test_sharded_replay_is_worker_count_independent(
     assert cause_totals(serial) == cause_totals(pooled)
 
 
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
 def test_streaming_equals_batch_under_strategy(
-    kind, replays, day_ephemeris_108, day_stream_108
+    replays, day_ephemeris_108, day_stream_108
 ):
     """The rescue layer preserves the streaming == batch guarantee.
 
@@ -123,8 +118,8 @@ def test_streaming_equals_batch_under_strategy(
     runs through :class:`ServeServer`); the batch side uses a fresh
     engine so the per-request and batch denial tails cannot drift.
     """
-    streamed = replays(kind, K2)
-    batched = build_engine(kind, day_ephemeris_108, strategy=K2).serve_batch(
+    streamed = replays(K2)
+    batched = build_engine("cached", day_ephemeris_108, strategy=K2).serve_batch(
         day_stream_108
     )
     assert len(streamed) == len(batched)
@@ -133,9 +128,9 @@ def test_streaming_equals_batch_under_strategy(
 
 
 def test_server_front_end_records_rescue_attrs(day_ephemeris_108, day_stream_108):
-    """A direct ServeServer run agrees with the sharded replay and the
-    report's cause accounting includes the strategy causes."""
-    engine = build_engine("matrix", day_ephemeris_108, strategy=K2)
+    """A ServeServer run outside the sharded replay accounts every
+    request, and its cause accounting includes the strategy causes."""
+    engine = build_engine("cached", day_ephemeris_108, strategy=K2)
     server = ServeServer(
         engine,
         config=ServerConfig(queue_depth=len(day_stream_108) + 1, shed_on_full=False),

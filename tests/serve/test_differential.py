@@ -1,12 +1,12 @@
 """The differential harness: streaming == batch, serial == sharded.
 
 One timestamped request sequence is replayed through the asyncio
-streaming front end and through each backend's batch path, and the
-outcomes must be bit-identical per backend — with and without a
-non-empty fault schedule. The batch side is additionally pinned against
-the *raw* sweep APIs (``NetworkSimulator.serve_requests``,
-``SpaceGroundAnalysis.serve``) so the comparison is not circular, and
-the sharded replay must be independent of worker count.
+streaming front end and through the engine's batch path, and the
+outcomes must be bit-identical — with and without a non-empty fault
+schedule. The batch side is additionally pinned against the *raw* sweep
+API (``NetworkSimulator.serve_requests``) so the comparison is not
+circular, the served set and denial causes against the uncached scalar
+simulator, and the sharded replay must be independent of worker count.
 """
 
 import asyncio
@@ -15,8 +15,10 @@ from itertools import groupby
 import numpy as np
 import pytest
 
+from repro.channels.presets import paper_satellite_fso
+from repro.network.simulator import NetworkSimulator
+from repro.network.topology import attach_satellites, build_qntn_ground_network
 from repro.serve import (
-    ENGINE_KINDS,
     ServeServer,
     ServerConfig,
     build_engine,
@@ -45,15 +47,12 @@ def run_stream(engine, requests):
     return list(report.outcomes)
 
 
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
-def test_streaming_bit_identical_to_batch(
-    kind, faults, small_ephemeris, aligned_stream
-):
+def test_streaming_bit_identical_to_batch(faults, small_ephemeris, aligned_stream):
     """Fresh engine per side: submit() and serve_batch() cannot drift."""
     streamed = run_stream(
-        build_engine(kind, small_ephemeris, faults=faults), aligned_stream
+        build_engine("cached", small_ephemeris, faults=faults), aligned_stream
     )
-    batched = build_engine(kind, small_ephemeris, faults=faults).serve_batch(
+    batched = build_engine("cached", small_ephemeris, faults=faults).serve_batch(
         aligned_stream
     )
     assert len(streamed) == len(batched) == len(aligned_stream)
@@ -61,10 +60,9 @@ def test_streaming_bit_identical_to_batch(
         assert outcomes_equal(a, b), (a, b)
 
 
-@pytest.mark.parametrize("kind", ["cached", "direct"])
-def test_simulator_batch_is_the_raw_sweep(kind, small_ephemeris, aligned_stream):
+def test_simulator_batch_is_the_raw_sweep(small_ephemeris, aligned_stream):
     """serve_batch must be NetworkSimulator.serve_requests, nothing else."""
-    engine = build_engine(kind, small_ephemeris)
+    engine = build_engine("cached", small_ephemeris)
     batched = engine.serve_batch(aligned_stream)
     raws = []
     for t_s, group in groupby(aligned_stream, key=lambda r: r.t_s):
@@ -82,54 +80,43 @@ def test_simulator_batch_is_the_raw_sweep(kind, small_ephemeris, aligned_stream)
         )
 
 
-def test_matrix_batch_is_the_raw_sweep(small_ephemeris, aligned_stream):
-    """serve_batch must reproduce SpaceGroundAnalysis.serve etas exactly."""
-    engine = build_engine("matrix", small_ephemeris)
-    batched = engine.serve_batch(aligned_stream)
-    etas = []
-    for t_s, group in groupby(aligned_stream, key=lambda r: r.t_s):
-        group = list(group)
-        k = int(np.searchsorted(engine.analysis.times_s, t_s, side="right") - 1)
-        etas.extend(
-            engine.analysis.serve([r.endpoints for r in group], k, engine.epsilon)
-        )
-    assert len(batched) == len(etas)
-    for outcome, eta in zip(batched, etas):
-        if eta is None:
-            assert not outcome.served and outcome.path_eta == 0.0
-        else:
-            assert outcome.served and outcome.path_eta == eta
-
-
 def test_backends_agree_on_service(faults, small_ephemeris, aligned_stream):
-    """All three paths serve the same requests with the same causes."""
-    by_kind = {
-        kind: build_engine(kind, small_ephemeris, faults=faults).serve_batch(
-            aligned_stream
-        )
-        for kind in ENGINE_KINDS
-    }
-    cached = by_kind["cached"]
-    # Under per-site fades the two-hop matrix model and the object-level
-    # simulator may legitimately diverge (DESIGN.md §11); the matrix leg
-    # of the cross-backend contract is healthy-only.
-    others = ("direct",) if faults is not None else ("direct", "matrix")
-    for kind in others:
-        for a, b in zip(cached, by_kind[kind]):
-            assert a.served == b.served, (kind, a, b)
-            assert a.cause == b.cause, (kind, a, b)
-            if a.served:
-                # Bit-identity is a per-backend guarantee (streaming vs
-                # batch); across backends the float op ordering differs
-                # (vectorized vs scalar), so compare to round-off.
-                assert np.isclose(a.path_eta, b.path_eta, rtol=1e-9, atol=0.0)
-                assert np.isclose(a.fidelity, b.fidelity, rtol=1e-9, atol=0.0)
+    """The engine serves what the uncached scalar simulator serves.
+
+    The oracle is ``NetworkSimulator(use_cache=False)``: per-channel
+    scalar evaluation, no link-state cache. Served set and denial causes
+    match exactly; etas and fidelities to round-off, because the float
+    op ordering differs (vectorized vs scalar).
+    """
+    cached = build_engine("cached", small_ephemeris, faults=faults).serve_batch(
+        aligned_stream
+    )
+    network = build_qntn_ground_network()
+    attach_satellites(network, small_ephemeris, paper_satellite_fso())
+    oracle = NetworkSimulator(
+        network,
+        use_cache=False,
+        faults=faults.compile() if faults is not None else None,
+    )
+    raws = []
+    for t_s, group in groupby(aligned_stream, key=lambda r: r.t_s):
+        raws.extend(oracle.serve_requests([r.endpoints for r in group], t_s))
+    assert len(cached) == len(raws)
+    for a, raw, request in zip(cached, raws, aligned_stream):
+        assert a.served == raw.served, (a, raw)
+        if a.served:
+            assert a.cause is None
+            assert np.isclose(a.path_eta, raw.path_transmissivity, rtol=1e-9, atol=0.0)
+            assert np.isclose(a.fidelity, raw.fidelity, rtol=1e-9, atol=0.0)
+        else:
+            cause = oracle.denial_cause(*request.endpoints, request.t_s).value
+            assert a.cause == cause, (a, cause)
 
 
 @pytest.fixture(scope="module")
 def serial_outcomes(small_ephemeris, aligned_stream):
     return serve_stream_sharded(
-        small_ephemeris, aligned_stream, engine="cached", n_workers=0
+        small_ephemeris, aligned_stream, n_workers=0
     )
 
 
@@ -138,7 +125,7 @@ def test_serial_equals_sharded(
     n_workers, serial_outcomes, small_ephemeris, aligned_stream
 ):
     sharded = serve_stream_sharded(
-        small_ephemeris, aligned_stream, engine="cached", n_workers=n_workers
+        small_ephemeris, aligned_stream, n_workers=n_workers
     )
     assert len(sharded) == len(serial_outcomes) == len(aligned_stream)
     for a, b in zip(serial_outcomes, sharded):
@@ -151,14 +138,12 @@ def test_serial_equals_sharded_under_faults(
     serial = serve_stream_sharded(
         small_ephemeris,
         aligned_stream,
-        engine="cached",
         n_workers=0,
         faults=mixed_schedule,
     )
     sharded = serve_stream_sharded(
         small_ephemeris,
         aligned_stream,
-        engine="cached",
         n_workers=2,
         faults=mixed_schedule,
     )
@@ -166,29 +151,25 @@ def test_serial_equals_sharded_under_faults(
         assert outcomes_equal(a, b), (a, b)
     # The outage must actually bite: some healthy-served request is lost.
     healthy = serve_stream_sharded(
-        small_ephemeris, aligned_stream, engine="cached", n_workers=0
+        small_ephemeris, aligned_stream, n_workers=0
     )
     assert sum(o.served for o in serial) < sum(o.served for o in healthy)
 
 
 def test_sharded_matches_batch_per_backend(small_ephemeris, aligned_stream):
-    """The sharded replay is the same physics as serve_batch for every kind."""
-    for kind in ENGINE_KINDS:
-        batched = build_engine(kind, small_ephemeris).serve_batch(aligned_stream)
-        sharded = serve_stream_sharded(
-            small_ephemeris, aligned_stream, engine=kind, n_workers=0
-        )
-        for a, b in zip(batched, sharded):
-            assert outcomes_equal(a, b), (kind, a, b)
+    """The sharded replay is the same physics as serve_batch."""
+    batched = build_engine("cached", small_ephemeris).serve_batch(aligned_stream)
+    sharded = serve_stream_sharded(small_ephemeris, aligned_stream, n_workers=0)
+    for a, b in zip(batched, sharded):
+        assert outcomes_equal(a, b), (a, b)
 
 
 def test_accounting_covers_stream(faults, small_ephemeris, aligned_stream):
-    """served + per-cause denials == total, for every backend."""
-    for kind in ENGINE_KINDS:
-        outcomes = build_engine(kind, small_ephemeris, faults=faults).serve_batch(
-            aligned_stream
-        )
-        n_served = sum(o.served for o in outcomes)
-        causes = [o.cause for o in outcomes if not o.served]
-        assert all(c is not None for c in causes)
-        assert n_served + len(causes) == len(aligned_stream)
+    """served + per-cause denials == total."""
+    outcomes = build_engine("cached", small_ephemeris, faults=faults).serve_batch(
+        aligned_stream
+    )
+    n_served = sum(o.served for o in outcomes)
+    causes = [o.cause for o in outcomes if not o.served]
+    assert all(c is not None for c in causes)
+    assert n_served + len(causes) == len(aligned_stream)

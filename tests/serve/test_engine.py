@@ -1,8 +1,8 @@
-"""Unit tests for the :class:`ServeEngine` backends.
+"""Unit tests for the ``cached`` :class:`ServeEngine`.
 
 Covers construction, outcome shape and identity preservation, denial
-attribution on/off, the monotonic time cursors (matrix engine and
-:meth:`LinkStateCache.advance_index`) against the plain bisection rule,
+attribution on/off, the monotonic time cursor
+(:meth:`LinkStateCache.advance_index`) against the plain bisection rule,
 and :func:`outcomes_equal` semantics.
 """
 
@@ -15,25 +15,21 @@ import pytest
 from repro.errors import ValidationError
 from repro.obs.trace import CAUSES
 from repro.quantum.fidelity import entanglement_fidelity_from_transmissivity
-from repro.serve import ENGINE_KINDS, ServeOutcome, build_engine, outcomes_equal
+from repro.serve import ServeOutcome, build_engine, outcomes_equal
 
 
-@pytest.fixture(scope="module", params=ENGINE_KINDS)
-def engine(request, small_ephemeris):
-    return build_engine(request.param, small_ephemeris)
+@pytest.fixture(scope="module")
+def engine(small_ephemeris):
+    return build_engine("cached", small_ephemeris)
 
 
 class TestBuildEngine:
-    def test_unknown_kind_rejected(self, small_ephemeris):
+    # The removed "direct" and "matrix" kinds must fail loudly, not
+    # fall back to the cached engine.
+    @pytest.mark.parametrize("kind", ["warp", "direct", "matrix"])
+    def test_unknown_kind_rejected(self, kind, small_ephemeris):
         with pytest.raises(ValidationError):
-            build_engine("warp", small_ephemeris)
-
-    def test_name_matches_kind(self, engine):
-        assert engine.name in ENGINE_KINDS
-
-    def test_kinds_are_distinct(self, small_ephemeris):
-        names = {build_engine(k, small_ephemeris).name for k in ENGINE_KINDS}
-        assert names == set(ENGINE_KINDS)
+            build_engine(kind, small_ephemeris)
 
 
 class TestSubmit:
@@ -70,11 +66,8 @@ class TestSubmit:
             assert math.isnan(outcome.fidelity)
             assert outcome.cause in causes
 
-    @pytest.mark.parametrize("kind", ENGINE_KINDS)
-    def test_attribution_off_leaves_cause_none(
-        self, kind, small_ephemeris, aligned_stream
-    ):
-        engine = build_engine(kind, small_ephemeris, attribute_denials=False)
+    def test_attribution_off_leaves_cause_none(self, small_ephemeris, aligned_stream):
+        engine = build_engine("cached", small_ephemeris, attribute_denials=False)
         denied = [o for o in map(engine.submit, aligned_stream) if not o.served]
         assert denied
         assert all(o.cause is None for o in denied)
@@ -92,20 +85,15 @@ class TestTimeCursor:
         backtrack = rng.uniform(0.0, times[-1], size=50)
         return np.concatenate([forward, backtrack])
 
-    def test_matrix_cursor_matches_bisection(self, small_ephemeris):
-        engine = build_engine("matrix", small_ephemeris)
-        times = engine.analysis.times_s
-        rng = np.random.default_rng(5)
-        for t in self._query_times(times, rng):
-            assert engine.time_index(float(t)) == self._reference(times, float(t))
-
     def test_linkstate_cursor_matches_time_index(self, small_ephemeris):
         engine = build_engine("cached", small_ephemeris)
         linkstate = engine.simulator.linkstate
         times = linkstate.times_s
         rng = np.random.default_rng(6)
         for t in self._query_times(times, rng):
-            assert linkstate.advance_index(float(t)) == linkstate.time_index(float(t))
+            expected = self._reference(times, float(t))
+            assert linkstate.advance_index(float(t)) == expected
+            assert linkstate.time_index(float(t)) == expected
 
 
 class TestServeBatch:
@@ -117,7 +105,7 @@ class TestServeBatch:
             assert outcomes_equal(a, b)
 
     def test_groups_consecutive_equal_timestamps(self, small_ephemeris, aligned_stream):
-        engine = build_engine("matrix", small_ephemeris)
+        engine = build_engine("cached", small_ephemeris)
         calls = []
         original = engine._serve_group
 

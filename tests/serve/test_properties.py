@@ -2,19 +2,25 @@
 
 Hypothesis drives randomized request streams (seed, rate, tenant count)
 and random fault schedules (reusing the chaos suite's event strategies)
-through the differential invariants: streaming == batch per backend,
-serving accounting covers the stream, and admission shedding is exact.
+through the differential invariants: streaming == batch, the served
+set equals the budget-matrix oracle's, serving accounting covers the
+stream, and admission shedding is exact.
 Engines are reused across examples where the schedule is fixed —
 outcomes are pure functions of the request, so engine reuse is itself
 part of the statelessness claim.
 """
 
 import asyncio
+from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.channels.presets import paper_satellite_fso
+from repro.core.analysis import SpaceGroundAnalysis
+from repro.data.ground_nodes import all_ground_nodes
 from repro.network.workload import align_to_grid, poisson_request_stream
 from repro.serve import ServeServer, ServerConfig, build_engine, outcomes_equal
 
@@ -55,8 +61,8 @@ def cached_engine(small_ephemeris):
 
 
 @pytest.fixture(scope="module")
-def matrix_engine(small_ephemeris):
-    return build_engine("matrix", small_ephemeris)
+def analysis(small_ephemeris):
+    return SpaceGroundAnalysis(small_ephemeris, all_ground_nodes(), paper_satellite_fso())
 
 
 @settings(max_examples=40, **PROPERTY_SETTINGS)
@@ -90,21 +96,24 @@ def test_stream_generator_invariants(lans, small_ephemeris, seed, rate, n_tenant
 @settings(max_examples=8, **PROPERTY_SETTINGS)
 @given(seed=seeds, rate=rates, n_tenants=tenant_counts)
 def test_streaming_equals_batch_on_random_streams(
-    cached_engine, matrix_engine, lans, small_ephemeris, seed, rate, n_tenants
+    cached_engine, analysis, lans, small_ephemeris, seed, rate, n_tenants
 ):
     stream = make_stream(lans, small_ephemeris.times_s, seed, rate, n_tenants)
     if not stream:
         return
-    for engine in (cached_engine, matrix_engine):
-        streamed = run_stream(engine, stream)
-        batched = engine.serve_batch(stream)
-        assert len(streamed) == len(batched) == len(stream)
-        for a, b in zip(streamed, batched):
-            assert outcomes_equal(a, b), (engine.name, a, b)
-    # Cross-backend: the serving decision itself is backend-independent.
-    cached = cached_engine.serve_batch(stream)
-    matrix = matrix_engine.serve_batch(stream)
-    assert [o.served for o in cached] == [o.served for o in matrix]
+    streamed = run_stream(cached_engine, stream)
+    batched = cached_engine.serve_batch(stream)
+    assert len(streamed) == len(batched) == len(stream)
+    for a, b in zip(streamed, batched):
+        assert outcomes_equal(a, b), (a, b)
+    # Cross-model: the serving decision matches the two-hop budget-matrix
+    # relay argmin the paper sweeps use.
+    served = []
+    for t_s, group in groupby(stream, key=lambda r: r.t_s):
+        k = int(np.searchsorted(analysis.times_s, t_s, side="right") - 1)
+        etas = analysis.serve([r.endpoints for r in group], k)
+        served.extend(eta is not None for eta in etas)
+    assert [o.served for o in batched] == served
 
 
 @settings(max_examples=8, **PROPERTY_SETTINGS)
